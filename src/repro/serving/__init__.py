@@ -8,22 +8,21 @@ needs, and nothing from the training stack:
   integrity-validated ``publish``/``resolve_latest``/``load``;
 * :mod:`repro.serving.service` — :class:`LinkPredictionService` with
   ``score``/``top_k``/``batch_top_k`` and hot-swap ``reload()`` that falls
-  back to the previous artifact when a new one fails validation;
+  back to the previous artifact when a new one fails validation; it
+  serves unsharded and sharded stores alike through swappable scorers
+  (the model, scatter-gather over shards, and the common-neighbour
+  degraded tier in :mod:`repro.serving.degraded`);
 * :mod:`repro.serving.cache` — the LRU :class:`RankingCache` with
   hit/miss/eviction counters;
 * :mod:`repro.serving.batcher` — :class:`MicroBatcher`, coalescing
   concurrent queries into single vectorized scoring passes;
-* :mod:`repro.serving.http` — the stdlib-only JSON endpoint
-  (``/healthz``, ``/readyz``, ``/v1/topk``, ``/v1/score``, ``/v1/stats``)
-  plus the Prometheus ``/metrics`` exposition, with optional load
-  shedding (``max_inflight``) and per-request deadlines; its
-  :class:`~repro.serving.http.EndpointRouter` is the shared,
-  transport-independent dispatch core;
-* :mod:`repro.serving.aio` — the asyncio front end (the ``serve``
-  default): keep-alive/pipelined HTTP parsing on one event loop,
-  scoring offloaded to a bounded worker pool, graceful SIGTERM drain;
-  the threaded server stays available behind ``serve --legacy`` as the
-  parity oracle.
+* :mod:`repro.serving.http` — :class:`~repro.serving.http.EndpointRouter`,
+  the transport-independent JSON endpoint logic (``/healthz``,
+  ``/readyz``, ``/v1/topk``, ``/v1/score``, ``/v1/stats``) plus the
+  Prometheus ``/metrics`` exposition, with per-request deadlines;
+* :mod:`repro.serving.aio` — the asyncio front end: keep-alive/pipelined
+  HTTP parsing on one event loop, load shedding (``max_inflight``),
+  scoring offloaded to a bounded worker pool, graceful SIGTERM drain.
 
 Resilience (DESIGN.md §11): artifact reads are retried under a
 :class:`~repro.reliability.RetryPolicy` and ``reload()`` sits behind a
@@ -55,12 +54,7 @@ from repro.serving.artifacts import (
 )
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import RankingCache
-from repro.serving.http import (
-    EndpointRouter,
-    LinkPredictionServer,
-    make_server,
-    serve,
-)
+from repro.serving.http import EndpointRouter
 from repro.serving.service import LinkPredictionService
 
 __all__ = [
@@ -72,9 +66,6 @@ __all__ = [
     "RankingCache",
     "MicroBatcher",
     "EndpointRouter",
-    "LinkPredictionServer",
     "AsyncLinkPredictionServer",
-    "make_server",
     "make_async_server",
-    "serve",
 ]

@@ -20,8 +20,11 @@ ways (see DESIGN.md §16.5):
 * explicitly, via :meth:`LinkPredictionService.engage_degraded`, which
   the streaming pipeline calls when *its* refit breaker opens.
 
-Answers from this tier bypass the version-keyed ranking cache (they are
-not model answers and must never be cached as such).
+It implements the service's scorer seam (``score`` and ``rank``) like the
+model and sharded scorers do.  The service rebuilds it from every
+installed version's graph, and answers from this tier bypass the
+version-keyed ranking cache (they are not model answers and must never
+be cached as such).
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import ConfigurationError
-
-Ranking = List[Tuple[int, float]]
+from repro.serving.service import Ranking, _rank_rows
 
 
 class CommonNeighborScorer:
@@ -69,35 +71,25 @@ class CommonNeighborScorer:
         row_v = self._known.getrow(int(v))
         return float(row_u.multiply(row_v).sum())
 
-    def _candidate_rows(self, users: np.ndarray) -> np.ndarray:
-        """Common-neighbor counts with self and known links masked out."""
+    def top_k(self, user: int, k: int = 10) -> Ranking:
+        """Best ``k`` unlinked candidates for ``user`` by shared neighbors."""
+        return self.rank([user], [k])[0][0]
+
+    def rank(
+        self, users: Sequence[int], ks: Sequence[int]
+    ) -> Tuple[List[Ranking], bool]:
+        """Per-request ``k`` rankings in one sparse matmul pass (complete).
+
+        Self, known links and candidates sharing no neighbor are masked
+        out, then the rows go through the model's ranking kernel.
+        """
+        users = np.asarray(list(users), dtype=int)
         rows = np.asarray(
             (self._known[users] @ self._known).todense(), dtype=float
         )
+        rows[rows <= 0] = -np.inf
         for offset, user in enumerate(users):
             start, end = self._known.indptr[user], self._known.indptr[user + 1]
             rows[offset, self._known.indices[start:end]] = -np.inf
             rows[offset, user] = -np.inf
-        return rows
-
-    def top_k(self, user: int, k: int = 10) -> Ranking:
-        """Best ``k`` unlinked candidates for ``user`` by shared neighbors."""
-        return self.batch_top_k_mixed([user], [k])[0]
-
-    def batch_top_k_mixed(
-        self, users: Sequence[int], ks: Sequence[int]
-    ) -> List[Ranking]:
-        """Per-request ``k`` rankings in one sparse matmul pass."""
-        users = np.asarray(list(users), dtype=int)
-        rows = self._candidate_rows(users)
-        rankings: List[Ranking] = []
-        for row, k in zip(rows, ks):
-            finite = np.flatnonzero(np.isfinite(row) & (row > 0))
-            if finite.size == 0:
-                rankings.append([])
-                continue
-            kth = min(int(k), finite.size)
-            top = finite[np.argpartition(-row[finite], kth - 1)[:kth]]
-            top = top[np.argsort(-row[top], kind="stable")]
-            rankings.append([(int(v), float(row[v])) for v in top])
-        return rankings
+        return _rank_rows(rows, max(ks), ks=ks), True

@@ -1,24 +1,20 @@
 """The in-process link-prediction service: score, top-k, hot-swap reload.
 
-:class:`LinkPredictionService` is the layer every front-end (HTTP handler,
-micro-batcher, CLI) talks to.  It owns
+:class:`LinkPredictionService` is the layer every front-end (HTTP router,
+micro-batcher, CLI) talks to.  It serves an
+:class:`~repro.serving.artifacts.ArtifactStore` or a
+:class:`~repro.sharding.artifacts.ShardedArtifactStore` and owns input
+validation, the lock, the hot-path counters, the ``(version, user, k)``
+ranking cache, hot-swap ``reload()`` (retried reads, a circuit breaker,
+the ``serving.reload`` chaos site — a corrupt publish keeps the served
+artifact), the degraded tier, ``ready``, ``stats`` and ``metrics_text``.
 
-* the current :class:`~repro.serving.artifacts.LoadedArtifact` (predictor +
-  known-link adjacency) pulled from an
-  :class:`~repro.serving.artifacts.ArtifactStore`,
-* a pre-masked *candidate matrix* — scores with ``-inf`` written over the
-  diagonal and every already-known link, so ranking is a single vectorized
-  ``argpartition`` per row,
-* a :class:`~repro.serving.cache.RankingCache` keyed by
-  ``(version, user, k)``, and
-* a :class:`~repro.observability.Tracer` through which every request path
-  records latency spans and counters (``serve.requests``,
-  ``serve.cache_hit``, ``serve.reloads``, …).
-
-``reload()`` hot-swaps to the store's newest version atomically under a
-lock and *falls back to the artifact already being served* when the new
-one fails integrity validation — a corrupt publish can never take the
-service down.
+Scores come from a duck-typed *scorer*: ``score(u, v) -> float`` and
+``rank(users, ks) -> (rankings, complete)``.  :class:`ModelScorer` ranks
+the published predictor, :class:`~repro.sharding.scorer.ShardedScorer`
+scatter-gathers across shards, and
+:class:`~repro.serving.degraded.CommonNeighborScorer` is the degraded
+tier.  An incomplete pass (a lost shard) is served but never cached.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from __future__ import annotations
 import threading
 import time
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -45,11 +41,11 @@ from repro.observability.tracer import Tracer
 from repro.reliability.breaker import OPEN, CircuitBreaker
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryPolicy, call_with_retry
-from repro.serving.artifacts import ArtifactStore, LoadedArtifact
+from repro.serving.artifacts import ArtifactStore
 from repro.serving.cache import RankingCache
 from repro.utils.validation import check_integer
 
-DEFAULT_LOAD_RETRY = RetryPolicy(
+LOAD_RETRY = RetryPolicy(
     max_attempts=3,
     base_delay=0.02,
     multiplier=2.0,
@@ -73,8 +69,11 @@ class LinkPredictionService:
     Parameters
     ----------
     store:
-        An :class:`~repro.serving.artifacts.ArtifactStore` or the path of
-        one; the latest version is loaded at construction.
+        An :class:`~repro.serving.artifacts.ArtifactStore`, a
+        :class:`~repro.sharding.artifacts.ShardedArtifactStore` (loaded
+        with ``strict=False``, so a corrupt shard drops only its own
+        candidates), or the path of an unsharded store; the latest
+        version is loaded at construction.
     cache_size:
         Capacity of the per-user ranking cache.
     tracer:
@@ -94,12 +93,19 @@ class LinkPredictionService:
         :class:`~repro.observability.metrics.NullRegistry` (paired with a
         :class:`~repro.observability.NullTracer`) for the zero-overhead
         uninstrumented path.
+    reload_breaker:
+        The circuit breaker guarding reloads; a 3-failure / 5 s breaker
+        is created when omitted.
     cells:
         Optional shared :class:`~repro.observability.cells.CellBank` for
         the hot-tier striped metrics; a private bank over ``registry``
         is created when omitted.  Pass one explicitly to share cells
         between the service, its tracer and a
         :class:`~repro.observability.cells.CellAggregator`.
+    enable_degraded_tier:
+        Build a common-neighbour scorer from each published graph and
+        answer from it while the reload breaker is open or a caller
+        engaged it (:meth:`engage_degraded`).
 
     Examples
     --------
@@ -116,17 +122,21 @@ class LinkPredictionService:
 
     def __init__(
         self,
-        store: Union[ArtifactStore, str],
+        store,
         cache_size: int = 1024,
         tracer: Optional[Tracer] = None,
         version: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        load_retry: Optional[RetryPolicy] = None,
         reload_breaker: Optional[CircuitBreaker] = None,
         cells: Optional[CellBank] = None,
         enable_degraded_tier: bool = False,
     ):
-        self.store = store if isinstance(store, ArtifactStore) else ArtifactStore(store)
+        from repro.sharding.artifacts import ShardedArtifactStore
+
+        if not isinstance(store, (ArtifactStore, ShardedArtifactStore)):
+            store = ArtifactStore(store)
+        self.store = store
+        self._sharded = isinstance(store, ShardedArtifactStore)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.cells = cells if cells is not None else CellBank(self.registry)
         self.tracer = (
@@ -146,9 +156,10 @@ class LinkPredictionService:
         self._c_score = self.tracer.hot_counter("serve.score_requests")
         self._c_hit = self.tracer.hot_counter("serve.cache_hit")
         self._c_miss = self.tracer.hot_counter("serve.cache_miss")
+        self._c_incomplete = self.tracer.hot_counter("serve.degraded")
         self._lock = threading.RLock()
-        self._artifact: LoadedArtifact = None
-        self._candidates: np.ndarray = None
+        self._artifact = None
+        self._scorer = None
         # Monotonic clock for all duration math: NTP/wall-clock jumps must
         # never corrupt uptime or latency numbers.
         self._started_at = time.monotonic()
@@ -170,14 +181,11 @@ class LinkPredictionService:
         self._m_version = self.registry.gauge(
             "serving.artifact_version", help="Artifact version being served."
         )
-        self._load_retry = (
-            load_retry if load_retry is not None else DEFAULT_LOAD_RETRY
-        )
         # Degraded tier (DESIGN.md §16.5): a common-neighbor scorer built
         # from the published adjacency, served while the reload breaker is
         # open or a caller (the streaming pipeline) engaged it explicitly.
         self._enable_degraded = bool(enable_degraded_tier)
-        self._degraded_scorer = None
+        self._fallback = None
         self._degraded_reason: Optional[str] = None
         self._m_degraded = self.registry.gauge(
             "serving.degraded_mode",
@@ -198,54 +206,42 @@ class LinkPredictionService:
         )
         self._install(self._load(version))
 
-    def _load(self, version: Optional[int]) -> LoadedArtifact:
-        """One retried, metric-counted artifact read from the store."""
+    def _load(self, version: Optional[int]):
+        """One retried, metric-counted artifact read from the store.
+
+        Sharded stores load leniently: a corrupt shard drops only itself.
+        """
+        lenient = {"strict": False} if self._sharded else {}
         return call_with_retry(
-            lambda: self.store.load(version),
-            self._load_retry,
+            lambda: self.store.load(version, **lenient),
+            LOAD_RETRY,
             name="artifact.load",
             registry=self.registry,
         )
 
     # -- artifact state -------------------------------------------------
-    def _install(self, artifact: LoadedArtifact) -> None:
-        """Swap in a validated artifact and rebuild the candidate source.
+    def _install(self, artifact) -> None:
+        """Swap in a validated artifact with its scorer and fallback.
 
-        Dense artifacts pre-mask the full score matrix as before.
-        Factored artifacts install a :class:`_FactoredCandidates` view
-        instead: rows are computed on demand from the O(nk) factors (one
-        ``u_i Vᵀ`` matvec each), so install cost and resident memory stay
-        O(nk) at any user count.
+        The degraded-tier fallback is rebuilt from every installed
+        artifact and cleared when it carries no graph, so the tier never
+        answers from an earlier version's adjacency.
         """
-        predictor = artifact.predictor
-        if getattr(predictor, "factored", False):
-            candidates = _FactoredCandidates(
-                predictor.factored_estimate, artifact.adjacency
-            )
-        else:
-            scores = predictor.score_matrix
-            candidates = np.array(scores, dtype=float)
-            adjacency = artifact.adjacency
-            if adjacency is not None:
-                if sparse.issparse(adjacency):
-                    # Sparse published graphs (the streaming pipeline's
-                    # shape) mask via coordinates — no dense expansion.
-                    coo = adjacency.tocoo()
-                    known = coo.data > 0
-                    candidates[coo.row[known], coo.col[known]] = -np.inf
-                else:
-                    candidates[adjacency > 0] = -np.inf
-            np.fill_diagonal(candidates, -np.inf)
-        scorer = None
-        if self._enable_degraded and artifact.adjacency is not None:
-            from repro.serving.degraded import CommonNeighborScorer
+        # Imported here: both scorer modules import this one.
+        from repro.serving.degraded import CommonNeighborScorer
+        from repro.sharding.scorer import ShardedScorer
 
-            scorer = CommonNeighborScorer(artifact.adjacency)
+        if self._sharded:
+            scorer = ShardedScorer(artifact, self.tracer, self.registry)
+        else:
+            scorer = ModelScorer(artifact)
+        fallback = None
+        if self._enable_degraded and artifact.adjacency is not None:
+            fallback = CommonNeighborScorer(artifact.adjacency)
         with self._lock:
             self._artifact = artifact
-            self._candidates = candidates
-            if scorer is not None:
-                self._degraded_scorer = scorer
+            self._scorer = scorer
+            self._fallback = fallback
         self._m_version.set(artifact.version)
 
     @property
@@ -259,8 +255,8 @@ class LinkPredictionService:
         return self._artifact.n_users
 
     @property
-    def artifact(self) -> LoadedArtifact:
-        """The currently-served artifact (predictor, manifest, adjacency)."""
+    def artifact(self):
+        """The currently-served artifact (manifest, adjacency, model)."""
         return self._artifact
 
     def reload(self) -> bool:
@@ -276,7 +272,9 @@ class LinkPredictionService:
         artifact keeps answering queries — until the breaker's recovery
         probe lets an attempt through again.  A fault armed at the
         ``serving.reload`` chaos site exercises exactly this degradation
-        path.
+        path.  A sharded version that loads with some shards dropped *is*
+        installed: answering from surviving shards beats serving stale
+        data.
         """
         with self.tracer.span("serve.reload"):
             if not self._reload_breaker.allow():
@@ -327,9 +325,10 @@ class LinkPredictionService:
 
         Called by the streaming pipeline when its refit breaker opens.
         Returns ``False`` (and stays on the model) when the tier is
-        disabled or no published adjacency exists to build it from.
+        disabled or the served version was published without a graph to
+        build it from.
         """
-        if not self._enable_degraded or self._degraded_scorer is None:
+        if self._fallback is None:
             return False
         self._degraded_reason = str(reason)
         self._degraded()
@@ -344,19 +343,16 @@ class LinkPredictionService:
     def _degraded(self) -> bool:
         """Whether this request should be answered by the degraded tier.
 
-        True while the tier is enabled, buildable, and either explicitly
-        engaged or forced by an **open** reload breaker (the store is
-        misbehaving, so the installed model's staleness is unbounded).
-        Also refreshes the ``serving.degraded_mode`` gauge so scrapes see
-        transitions without waiting for a query.
+        True while a fallback exists for the served version (the tier is
+        enabled and the version carries a graph) and the tier is either
+        explicitly engaged or forced by an **open** reload breaker (the
+        store is misbehaving, so the installed model's staleness is
+        unbounded).  Also refreshes the ``serving.degraded_mode`` gauge so
+        scrapes see transitions without waiting for a query.
         """
-        active = (
-            self._enable_degraded
-            and self._degraded_scorer is not None
-            and (
-                self._degraded_reason is not None
-                or self._reload_breaker.state == OPEN
-            )
+        active = self._fallback is not None and (
+            self._degraded_reason is not None
+            or self._reload_breaker.state == OPEN
         )
         self._m_degraded.set(1.0 if active else 0.0)
         return active
@@ -395,11 +391,11 @@ class LinkPredictionService:
         return user
 
     def score(self, u: int, v: int) -> float:
-        """The raw model confidence for the pair ``(u, v)``.
+        """The model confidence for the pair ``(u, v)``.
 
-        Routed through the predictor's pair-scoring API: an O(1) matrix
-        read for dense artifacts, an O(k) factor dot for factored ones —
-        never a dense materialization.
+        Never a dense materialization: an O(1) matrix read for dense
+        artifacts, an O(k) factor dot for factored ones, the stitched
+        maximum over co-modeling shards for sharded ones.
         """
         with self.tracer.span("serve.score"):
             self._c_requests.inc()
@@ -407,8 +403,8 @@ class LinkPredictionService:
             u, v = self._check_user(u), self._check_user(v)
             if self._degraded():
                 self._m_degraded_requests.inc()
-                return self._degraded_scorer.score(u, v)
-            return float(self._artifact.predictor.score_pairs([(u, v)])[0])
+                return self._fallback.score(u, v)
+            return self._scorer.score(u, v)
 
     def is_known_link(self, u: int, v: int) -> bool:
         """Whether ``(u, v)`` is already connected in the published graph.
@@ -428,25 +424,7 @@ class LinkPredictionService:
         ``(version, user, k)``.
         """
         with self.tracer.span("serve.top_k"):
-            self._c_requests.inc()
-            self._c_topk.inc()
-            user = self._check_user(user)
-            k = check_integer(k, "k", minimum=1)
-            if self._degraded():
-                # Degraded answers are not model answers: never read from
-                # or write to the version-keyed ranking cache.
-                self._m_degraded_requests.inc()
-                return self._degraded_scorer.top_k(user, k)
-            key = (self.version, user, k)
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._c_hit.inc()
-                return cached
-            self._c_miss.inc()
-            with self._lock:
-                ranking = _rank_row(self._candidates[user], k)
-            self.cache.put(key, ranking)
-            return ranking
+            return self._answer([user], [k])[0]
 
     def batch_top_k(
         self, users: Sequence[int], k: int = 10
@@ -454,8 +432,8 @@ class LinkPredictionService:
         """Top-``k`` answers for many users in one vectorized scoring pass.
 
         Cached users are answered from the cache; the remaining rows are
-        ranked together with a single ``argpartition`` call, which is what
-        the micro-batcher relies on for throughput.
+        ranked together in one scorer pass, which is what the
+        micro-batcher relies on for throughput.
         """
         return self.batch_top_k_mixed(users, [k] * len(users))
 
@@ -464,60 +442,63 @@ class LinkPredictionService:
     ) -> List[Ranking]:
         """Per-request ``k`` values answered in one vectorized pass.
 
-        The heavy numpy work — row extraction, one ``argpartition`` and
-        one stable ``argsort`` at the batch's largest ``k`` — is shared
-        by every request; only the final per-row list materialization is
-        trimmed to each request's own ``k``.  This is what lets the
-        micro-batcher coalesce mixed-``k`` traffic into a single scoring
-        pass without building oversized answers.
+        The heavy numpy work is shared by every request; only the final
+        per-row list materialization is trimmed to each request's own
+        ``k``.  This is what lets the micro-batcher coalesce mixed-``k``
+        traffic into a single scoring pass without building oversized
+        answers.
         """
         with self.tracer.span("serve.batch_top_k"):
             if len(users) != len(ks):
                 raise ConfigurationError(
                     f"{len(users)} users but {len(ks)} k values"
                 )
-            ks = [check_integer(k, "k", minimum=1) for k in ks]
-            users = [self._check_user(u) for u in users]
-            self._c_requests.inc(len(users))
-            self._c_topk.inc(len(users))
-            if self._degraded():
-                self._m_degraded_requests.inc(len(users))
-                return self._degraded_scorer.batch_top_k_mixed(users, ks)
-            version = self.version
-            answers: Dict[Tuple[int, int], Ranking] = {}
-            missing: List[Tuple[int, int]] = []
-            for user, k in zip(users, ks):
-                pair = (user, k)
-                cached = self.cache.get((version, user, k))
-                if cached is not None:
-                    self._c_hit.inc()
-                    answers[pair] = cached
-                elif pair not in answers:
-                    self._c_miss.inc()
-                    answers[pair] = None
-                    missing.append(pair)
-            if missing:
-                with self._lock:
-                    rows = self._candidates[[user for user, _ in missing]]
-                    rankings = _rank_rows(
-                        rows,
-                        max(k for _, k in missing),
-                        ks=[k for _, k in missing],
-                    )
-                for pair, ranking in zip(missing, rankings):
-                    answers[pair] = ranking
+            return self._answer(users, ks)
+
+    def _answer(
+        self, users: Sequence[int], ks: Sequence[int]
+    ) -> List[Ranking]:
+        """Validate, then answer from the cache and one scorer pass."""
+        ks = [check_integer(k, "k", minimum=1) for k in ks]
+        users = [self._check_user(u) for u in users]
+        self._c_requests.inc(len(users))
+        self._c_topk.inc(len(users))
+        if self._degraded():
+            # Degraded answers are not model answers: never read from
+            # or write to the version-keyed ranking cache.
+            self._m_degraded_requests.inc(len(users))
+            return self._fallback.rank(users, ks)[0]
+        version = self.version
+        answers: Dict[Tuple[int, int], Ranking] = {}
+        missing: List[Tuple[int, int]] = []
+        for user, k in zip(users, ks):
+            pair = (user, k)
+            cached = self.cache.get((version, user, k))
+            if cached is not None:
+                self._c_hit.inc()
+                answers[pair] = cached
+            elif pair not in answers:
+                self._c_miss.inc()
+                answers[pair] = None
+                missing.append(pair)
+        if missing:
+            with self._lock:
+                version = self._artifact.version
+                rankings, complete = self._scorer.rank(
+                    [user for user, _ in missing], [k for _, k in missing]
+                )
+            for pair, ranking in zip(missing, rankings):
+                answers[pair] = ranking
+                if complete:
                     self.cache.put((version, pair[0], pair[1]), ranking)
-            return [answers[(user, k)] for user, k in zip(users, ks)]
+            if not complete:
+                self._c_incomplete.inc(len(missing))
+        return [answers[(user, k)] for user, k in zip(users, ks)]
 
     # -- introspection --------------------------------------------------
-    @property
-    def uptime_seconds(self) -> float:
-        """Seconds since construction, immune to wall-clock jumps."""
-        return time.monotonic() - self._started_at
-
     def observe_uptime(self) -> float:
-        """Refresh the uptime gauge (called before every scrape)."""
-        uptime = self.uptime_seconds
+        """Refresh and return the uptime gauge (called before every scrape)."""
+        uptime = time.monotonic() - self._started_at
         self._m_uptime.set(uptime)
         return uptime
 
@@ -529,17 +510,22 @@ class LinkPredictionService:
         """
         self.observe_uptime()
         self.cells.drain()
-        tracer_drain = getattr(self.tracer, "drain", None)
-        if tracer_drain is not None:
-            tracer_drain()
+        self.tracer.drain()
         return self.registry.render()
 
+    def shard_health(self) -> Dict[int, str]:
+        """Shard id → ``"missing"`` or breaker state (empty if unsharded)."""
+        return getattr(self._scorer, "shard_health", dict)()
+
     def stats(self) -> Dict:
-        """A JSON-compatible snapshot of the service's state and counters."""
-        manifest = self._artifact.manifest
-        return {
+        """A JSON-compatible snapshot of the service's state and counters.
+
+        A sharded scorer adds its shard count, dropped shards and
+        per-shard health.
+        """
+        stats = {
             "version": self.version,
-            "model": manifest.get("name"),
+            "model": self._artifact.manifest.get("name"),
             "n_users": self.n_users,
             "store": self.store.root,
             "uptime_seconds": self.observe_uptime(),
@@ -551,33 +537,78 @@ class LinkPredictionService:
             "degraded": self._degraded(),
             "degraded_reason": self._degraded_reason,
         }
+        stats.update(getattr(self._scorer, "stats", dict)())
+        return stats
+
+
+class ModelScorer:
+    """Scores and rankings from an artifact's published predictor.
+
+    Dense artifacts pre-mask the full score matrix at construction:
+    ``-inf`` over the diagonal and every known link, so ranking is a
+    single vectorized ``argpartition`` per pass.  Factored artifacts use
+    a :class:`_FactoredCandidates` view instead: rows are computed on
+    demand from the O(nk) factors (one ``u_i Vᵀ`` matvec each), so
+    construction cost and resident memory stay O(nk) at any user count.
+    """
+
+    def __init__(self, artifact):
+        predictor = artifact.predictor
+        self._predictor = predictor
+        adjacency = artifact.adjacency
+        if getattr(predictor, "factored", False):
+            self._candidates = _FactoredCandidates(
+                predictor.factored_estimate, adjacency
+            )
+            return
+        candidates = np.array(predictor.score_matrix, dtype=float)
+        if adjacency is not None:
+            if sparse.issparse(adjacency):
+                # Sparse published graphs (the streaming pipeline's
+                # shape) mask via coordinates — no dense expansion.
+                coo = adjacency.tocoo()
+                known = coo.data > 0
+                candidates[coo.row[known], coo.col[known]] = -np.inf
+            else:
+                candidates[adjacency > 0] = -np.inf
+        np.fill_diagonal(candidates, -np.inf)
+        self._candidates = candidates
+
+    def score(self, u: int, v: int) -> float:
+        """The predictor's raw confidence for ``(u, v)``."""
+        return float(self._predictor.score_pairs([(u, v)])[0])
+
+    def rank(
+        self, users: Sequence[int], ks: Sequence[int]
+    ) -> Tuple[List[Ranking], bool]:
+        """Rank every user's candidate row; always complete."""
+        rows = self._candidates[list(users)]
+        return _rank_rows(rows, max(ks), ks=ks), True
 
 
 class _FactoredCandidates:
     """On-demand masked candidate rows backed by a factored estimate.
 
     The factored analogue of the dense pre-masked candidate matrix:
-    ``self[user]`` (or ``self[list_of_users]``) computes the requested
-    score rows from the O(nk) factors — ``(u_i ∘ σ) Vᵀ`` plus the CSR
-    residual row, clipped at zero to match the factored scoring
-    convention — and writes ``-inf`` over the diagonal entry and every
-    already-known link before ranking sees them.  Nothing n×n is ever
-    resident; each query touches O(n) per requested row.
+    ``self[list_of_users]`` computes the requested score rows from the
+    O(nk) factors — ``(u_i ∘ σ) Vᵀ`` plus the CSR residual row, clipped
+    at zero to match the factored scoring convention — and writes
+    ``-inf`` over the diagonal entry and every already-known link before
+    ranking sees them.  Nothing n×n is ever resident; each query touches
+    O(n) per requested row.
     """
 
     def __init__(self, estimate, adjacency=None):
-        from scipy import sparse
-
         self.estimate = estimate
         if adjacency is None:
             self._known = None
         else:
             known = sparse.csr_matrix(adjacency)
             # Keep only positive entries so explicit zeros never mask.
-            known = (known > 0).tocsr()
-            self._known = known
+            self._known = (known > 0).tocsr()
 
-    def _rows(self, users: np.ndarray) -> np.ndarray:
+    def __getitem__(self, users) -> np.ndarray:
+        users = np.asarray(users, dtype=int)
         rows = self.estimate.rows(users)
         np.maximum(rows, 0.0, out=rows)
         for offset, user in enumerate(users):
@@ -590,24 +621,8 @@ class _FactoredCandidates:
             rows[offset, user] = -np.inf
         return rows
 
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return self._rows(np.array([int(key)]))[0]
-        return self._rows(np.asarray(key, dtype=int))
-
     def __repr__(self) -> str:
         return f"_FactoredCandidates(n={self.estimate.n_users})"
-
-
-def _rank_row(row: np.ndarray, k: int) -> Ranking:
-    """Rank one candidate row: finite entries only, best first."""
-    finite = np.flatnonzero(np.isfinite(row))
-    if finite.size == 0:
-        return []
-    kth = min(k, finite.size)
-    top = finite[np.argpartition(-row[finite], kth - 1)[:kth]]
-    top = top[np.argsort(-row[top], kind="stable")]
-    return [(int(j), float(row[j])) for j in top]
 
 
 def _rank_rows(

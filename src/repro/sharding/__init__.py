@@ -15,9 +15,12 @@ independently:
   through the replicated anchors so cross-shard rankings agree.
 * :mod:`repro.sharding.artifacts` — versioned sha256-verified multi-file
   artifact layout with partial-degradation loading.
-* :mod:`repro.sharding.service` — :class:`ShardedLinkPredictionService`
-  scatter-gathers per-shard candidates behind the same breaker /
-  deadline / load-shed surface as the unsharded service.
+* :mod:`repro.sharding.scorer` — :class:`ShardedScorer` scatter-gathers
+  per-shard candidates with per-shard breakers and a deterministic
+  merge.  It is one scorer behind
+  :class:`~repro.serving.service.LinkPredictionService`, which serves a
+  :class:`ShardedArtifactStore` with the same cache, reload, breaker,
+  degraded tier and load-shed surface as an unsharded store.
 """
 
 from repro.sharding.artifacts import (
@@ -30,7 +33,7 @@ from repro.sharding.partition import (
     detect_communities,
     plan_shards,
 )
-from repro.sharding.service import ShardedLinkPredictionService
+from repro.sharding.scorer import ShardedScorer
 from repro.sharding.stitching import (
     boundary_disagreement,
     fit_stitch_scales,
@@ -40,7 +43,7 @@ __all__ = [
     "LoadedShardedArtifact",
     "ShardPlan",
     "ShardedArtifactStore",
-    "ShardedLinkPredictionService",
+    "ShardedScorer",
     "ShardedSlamPred",
     "boundary_disagreement",
     "detect_communities",

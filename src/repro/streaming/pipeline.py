@@ -292,14 +292,10 @@ class StreamingPipeline:
             return
         should_engage = self.refit_breaker.state == OPEN
         if should_engage and not self._degraded_engaged:
-            engage = getattr(self.service, "engage_degraded", None)
-            if engage is not None:
-                engage("streaming refit breaker open")
-                self._degraded_engaged = True
+            self.service.engage_degraded("streaming refit breaker open")
+            self._degraded_engaged = True
         elif not should_engage and self._degraded_engaged:
-            disengage = getattr(self.service, "disengage_degraded", None)
-            if disengage is not None:
-                disengage()
+            self.service.disengage_degraded()
             self._degraded_engaged = False
 
     def tick(self) -> Dict:

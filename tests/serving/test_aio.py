@@ -1,9 +1,8 @@
 """Asyncio front end: keep-alive framing, pipelining, shed/deadline, drain.
 
-The shared endpoint contract is already pinned by the parametrized
-``endpoint`` fixture (every test in ``test_http.py`` /
-``test_observability.py`` runs against both front ends); this module
-covers what only the asyncio server does — raw-socket HTTP/1.1
+The shared endpoint contract is already pinned through the ``endpoint``
+fixture (every test in ``test_http.py`` / ``test_observability.py``);
+this module covers what those tests cannot reach — raw-socket HTTP/1.1
 semantics the high-level ``urllib`` client cannot express, and the
 graceful-drain lifecycle.
 """
@@ -272,7 +271,7 @@ class TestSheddingAndDeadline:
     def test_deadline_overrun_answers_503(self, service, monkeypatch):
         # The remaining budget becomes the batcher wait bound; a scoring
         # pass slower than the deadline times the waiter out into a 503
-        # with the deadline message — same contract as the legacy server.
+        # with the deadline message.
         monkeypatch.setattr(
             service,
             "batch_top_k_mixed",

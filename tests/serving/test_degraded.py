@@ -102,3 +102,19 @@ class TestTransitions:
         service.top_k(0, k=1)
         service.score(0, 3)
         assert "serving_degraded_requests_total 2" in service.metrics_text()
+
+    def test_reload_to_graphless_version_drops_the_old_graph(self, tmp_path):
+        rng = np.random.default_rng(5)
+        upper = np.triu((rng.random((24, 24)) < 0.2).astype(float), 1)
+        store = ArtifactStore(str(tmp_path / "swap"))
+        store.publish(
+            FrozenPredictor(rng.random((24, 24))), graph=upper + upper.T
+        )
+        service = LinkPredictionService(store, enable_degraded_tier=True)
+        store.publish(FrozenPredictor(rng.random((30, 30))))
+        assert service.reload()
+        # v2 carries no graph: the v1 common-neighbour scorer must not
+        # answer for it (it would index past its 24 users).
+        assert not service.engage_degraded("test")
+        assert not service.degraded_active
+        assert len(service.top_k(27, k=3)) == 3

@@ -19,7 +19,7 @@ from repro.serving.batcher import MicroBatcher
 from repro.serving.service import LinkPredictionService
 
 # The `endpoint` fixture comes from tests/serving/conftest.py and is
-# parametrized over the legacy and asyncio front ends.
+# serves the shared `service` over the asyncio front end.
 
 
 def _get_raw(url, headers=None):

@@ -1,9 +1,7 @@
 #!/usr/bin/env python
-"""Sustained-load benchmark: throughput-vs-latency for both front ends.
+"""Sustained-load benchmark: throughput-vs-latency for the asyncio server.
 
-An in-repo open-loop load generator for the serving layer.  For each
-front end (``aio`` — the asyncio server, and ``legacy`` — the threaded
-``ThreadingHTTPServer``) the harness:
+An in-repo open-loop load generator for the serving layer.  The harness:
 
 1. publishes a tiny :class:`FrozenPredictor` artifact to a throwaway
    store and boots ``python -m repro.serving serve`` in a **subprocess**
@@ -15,25 +13,28 @@ front end (``aio`` — the asyncio server, and ``legacy`` — the threaded
    **scheduled** time, so queueing delay counts against the server —
    recording achieved QPS and p50/p95/p99 per offered rate;
 3. runs one closed-loop *saturation* pass (every connection back to
-   back) whose achieved QPS is the continuous max-throughput measure —
-   the number the CI gate compares across front ends;
-4. records everything as ``bench_loadgen`` snapshots (one per front
-   end) in the repo-root ``BENCH_serving.json`` trajectory.
+   back) whose achieved QPS is the continuous max-throughput measure;
+4. records everything as a ``bench_loadgen`` snapshot in the repo-root
+   ``BENCH_serving.json`` trajectory.
 
 **Sustained QPS** is the saturation throughput *provided* its p99 stays
 within the SLO; otherwise it falls back to the fastest open-loop sweep
 point that met the SLO with ≥90% of its offered rate achieved.
 
-With ``--check`` the run is skipped entirely: the newest committed
-``aio`` and ``legacy`` snapshots are compared and the gate **fails
-(exit 1)** unless the asyncio front end sustains at least ``--min-ratio``
-(default 3x) the legacy throughput with its p99 inside the SLO.
+With ``--check`` the fresh sweep is compared against the newest
+committed snapshot of the same mode (``--smoke`` or full) instead of
+being recorded, and the gate **fails (exit 1)** when the fresh sustained
+QPS falls below ``--min-ratio`` (default 0.674) of the committed figure
+or the fresh p99 exceeds the SLO.
+
+Telemetry and the batcher stay off (``--no-telemetry --no-batcher``), so
+the sweep measures the transport, not the instrumentation.
 
 Run from the repo root::
 
-    PYTHONPATH=src python tools/load_bench.py --smoke   # short CI sweep
-    PYTHONPATH=src python tools/load_bench.py           # full sweep
-    PYTHONPATH=src python tools/load_bench.py --check   # CI ratio gate
+    PYTHONPATH=src python tools/load_bench.py --smoke          # record
+    PYTHONPATH=src python tools/load_bench.py                  # full sweep
+    PYTHONPATH=src python tools/load_bench.py --smoke --check  # CI gate
 """
 
 from __future__ import annotations
@@ -78,14 +79,12 @@ def _publish_bench_artifact(store_dir: str) -> None:
     )
 
 
-def _boot_server(
-    store_dir: str, frontend: str
-) -> Tuple[subprocess.Popen, int]:
+def _boot_server(store_dir: str) -> Tuple[subprocess.Popen, int]:
     """Start ``repro.serving serve`` in a child process; return (proc, port).
 
-    Telemetry and the batcher are disabled on both front ends so the
-    sweep measures the transport, not the instrumentation; ``-u`` keeps
-    the startup banner (which carries the bound port) unbuffered.
+    Telemetry and the batcher are disabled so the sweep measures the
+    transport, not the instrumentation; ``-u`` keeps the startup banner
+    (which carries the bound port) unbuffered.
     """
     command = [
         sys.executable,
@@ -102,8 +101,6 @@ def _boot_server(
         "--log-level",
         "WARNING",
     ]
-    if frontend == "legacy":
-        command.append("--legacy")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH", "")) if p
@@ -125,8 +122,7 @@ def _boot_server(
     if port is None:
         proc.terminate()
         raise SystemExit(
-            f"{frontend} server exited before printing its banner "
-            f"(rc={proc.wait()})"
+            f"server exited before printing its banner (rc={proc.wait()})"
         )
     return proc, port
 
@@ -138,7 +134,7 @@ class _Connection:
     single box the generator shares cores with the server under test,
     so every microsecond of client-side parsing shows up as lost
     server throughput.  When the server answers ``Connection: close``
-    (the legacy front end always does) the next request reconnects.
+    the next request reconnects.
     """
 
     def __init__(self, port: int):
@@ -259,7 +255,7 @@ def _run_saturation(
 
     Achieved QPS here is a *continuous* capacity measure (no offered-
     rate quantization), with tail latency bounded by the connection
-    count — the number the cross-front-end ratio gate uses.
+    count — the number the regression gate uses.
     """
     results: List[Tuple[float, int]] = []
     lock = threading.Lock()
@@ -326,17 +322,16 @@ def _warm(port: int) -> None:
     conn.close()
 
 
-def _bench_frontend(
-    frontend: str,
+def _bench(
     rates: List[float],
     duration_s: float,
     connections: int,
     slo_ms: float,
 ) -> Dict[str, float]:
-    """Sweep one front end; return the flat stats dict for its snapshot."""
+    """Sweep the asyncio server; return the flat stats for its snapshot."""
     with tempfile.TemporaryDirectory() as tmp:
         _publish_bench_artifact(tmp)
-        proc, port = _boot_server(tmp, frontend)
+        proc, port = _boot_server(tmp)
         try:
             _warm(port)
             curve = []
@@ -344,7 +339,7 @@ def _bench_frontend(
                 point = _run_open_loop(port, rate, duration_s, connections)
                 curve.append(point)
                 print(
-                    f"  {frontend}: offered {rate:7.0f} qps -> achieved "
+                    f"  offered {rate:7.0f} qps -> achieved "
                     f"{point['achieved_qps']:7.0f} qps  "
                     f"p50 {point['p50_ms']:7.2f}ms  "
                     f"p99 {point['p99_ms']:8.2f}ms  "
@@ -352,7 +347,7 @@ def _bench_frontend(
                 )
             saturation = _run_saturation(port, duration_s, connections)
             print(
-                f"  {frontend}: saturation         -> achieved "
+                f"  saturation         -> achieved "
                 f"{saturation['achieved_qps']:7.0f} qps  "
                 f"p50 {saturation['p50_ms']:7.2f}ms  "
                 f"p99 {saturation['p99_ms']:8.2f}ms  "
@@ -403,37 +398,41 @@ def _sustained_qps(
     return max(passing) if passing else 0.0
 
 
-def _latest_stats(frontend: str, path: Optional[str]) -> Dict[str, float]:
-    """The newest committed ``bench_loadgen`` stats for one front end."""
+def _committed_stats(mode: str, path: Optional[str]) -> Dict[str, float]:
+    """The newest committed asyncio ``bench_loadgen`` stats of ``mode``."""
     for snap in reversed(latest_snapshots("bench_loadgen", 50, path=path)):
-        if (snap.get("context") or {}).get("frontend") == frontend:
+        context = snap.get("context") or {}
+        if context.get("frontend") == "aio" and context.get("mode") == mode:
             return snap["stats"]
     raise SystemExit(
-        f"no bench_loadgen snapshot for frontend={frontend!r}; "
-        "run `python tools/load_bench.py --smoke` first"
+        f"no committed asyncio bench_loadgen snapshot for mode={mode!r}; "
+        "record one by running the sweep without --check"
     )
 
 
-def run_check(min_ratio: float, slo_ms: float, path: Optional[str]) -> int:
-    """The CI gate: asyncio must sustain ``min_ratio`` x legacy QPS."""
-    aio = _latest_stats("aio", path)
-    legacy = _latest_stats("legacy", path)
-    if legacy["sustained_qps"] <= 0:
-        raise SystemExit("legacy sustained_qps is zero — rerun the sweep")
-    ratio = aio["sustained_qps"] / legacy["sustained_qps"]
+def run_check(
+    fresh: Dict[str, float],
+    baseline: Dict[str, float],
+    min_ratio: float,
+    slo_ms: float,
+) -> int:
+    """The CI gate: the fresh sweep must keep ``min_ratio`` of the baseline."""
+    if baseline["sustained_qps"] <= 0:
+        raise SystemExit("committed sustained_qps is zero — rerun the sweep")
+    ratio = fresh["sustained_qps"] / baseline["sustained_qps"]
     print(
-        f"load gate: aio {aio['sustained_qps']:.0f} qps vs legacy "
-        f"{legacy['sustained_qps']:.0f} qps -> {ratio:.2f}x "
-        f"(gate {min_ratio:.1f}x); aio p99 {aio['p99_ms']:.2f}ms "
+        f"load gate: fresh {fresh['sustained_qps']:.0f} qps vs committed "
+        f"{baseline['sustained_qps']:.0f} qps -> {ratio:.2f}x "
+        f"(gate {min_ratio:.3f}x); fresh p99 {fresh['p99_ms']:.2f}ms "
         f"(SLO {slo_ms:.0f}ms)"
     )
-    if aio["sustained_qps"] == 0 or aio["p99_ms"] > slo_ms:
-        print("load gate: FAIL — asyncio p99 outside the deadline SLO")
+    if fresh["sustained_qps"] == 0 or fresh["p99_ms"] > slo_ms:
+        print("load gate: FAIL — p99 outside the deadline SLO")
         return 1
     if ratio < min_ratio:
         print(
-            f"load gate: FAIL — asyncio sustained only {ratio:.2f}x "
-            f"legacy (< {min_ratio:.1f}x)"
+            f"load gate: FAIL — sustained only {ratio:.2f}x the committed "
+            f"figure (< {min_ratio:.3f}x)"
         )
         return 1
     print("load gate: ok")
@@ -451,13 +450,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="compare committed snapshots; exit 1 under --min-ratio",
+        help="compare the fresh sweep with the newest committed snapshot "
+        "of the same mode instead of recording it; exit 1 under "
+        "--min-ratio",
     )
     parser.add_argument(
         "--min-ratio",
         type=float,
-        default=3.0,
-        help="required aio/legacy sustained-QPS ratio (default 3.0)",
+        default=0.674,
+        help="required fresh/committed sustained-QPS ratio (default 0.674)",
     )
     parser.add_argument(
         "--connections",
@@ -484,9 +485,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    mode = "smoke" if args.smoke else "full"
     if args.check:
-        return run_check(args.min_ratio, args.slo_ms, args.bench_path)
-
+        baseline = _committed_stats(mode, args.bench_path)
     if args.smoke:
         rates = [250.0, 500.0, 1000.0, 2000.0, 4000.0]
         duration = args.duration or 1.5
@@ -494,32 +495,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         rates = [250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0]
         duration = args.duration or 4.0
 
-    for frontend in ("legacy", "aio"):
-        print(f"load bench: sweeping {frontend} front end")
-        stats = _bench_frontend(
-            frontend, rates, duration, args.connections, args.slo_ms
-        )
-        record_snapshot(
-            "bench_loadgen",
-            stats,
-            context={
-                "frontend": frontend,
-                "mode": "smoke" if args.smoke else "full",
-                "connections": args.connections,
-                "duration_s": duration,
-                "slo_ms": args.slo_ms,
-                "n_users": N_USERS,
-            },
-            path=args.bench_path,
-        )
-        print(
-            f"load bench: {frontend} sustained "
-            f"{stats['sustained_qps']:.0f} qps "
-            f"(max {stats['max_qps']:.0f} qps, "
-            f"p99 {stats['p99_ms']:.2f}ms)"
-        )
+    print("load bench: sweeping the asyncio server")
+    stats = _bench(rates, duration, args.connections, args.slo_ms)
+    print(
+        f"load bench: sustained {stats['sustained_qps']:.0f} qps "
+        f"(max {stats['max_qps']:.0f} qps, p99 {stats['p99_ms']:.2f}ms)"
+    )
+    if args.check:
+        return run_check(stats, baseline, args.min_ratio, args.slo_ms)
+    record_snapshot(
+        "bench_loadgen",
+        stats,
+        context={
+            "frontend": "aio",
+            "mode": mode,
+            "connections": args.connections,
+            "duration_s": duration,
+            "slo_ms": args.slo_ms,
+            "n_users": N_USERS,
+        },
+        path=args.bench_path,
+    )
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
